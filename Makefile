@@ -1,9 +1,13 @@
 GO ?= go
 
-.PHONY: check race bench benchcmp test build vet chaos slo slo-smoke mp-smoke dr-smoke fd-smoke lf-smoke
+.PHONY: check fmt race bench benchcmp test build vet chaos perfbench-test slo slo-smoke mp-smoke dr-smoke fd-smoke lf-smoke
 
-## check: vet + build + full test suite (the tier-1 gate)
-check: vet build test
+## check: gofmt + vet + build + full test suite (the tier-1 gate)
+check: fmt vet build test
+
+## fmt: fail when any Go file is not gofmt-formatted
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -25,6 +29,13 @@ race:
 ## coalescing/recovery fault tests
 chaos:
 	CHAOS_SEEDS=7 $(GO) test -race -count=1 ./internal/chaos
+
+## perfbench-test: the benchmark module's own end-to-end checks (echo
+## payloads, identical replica state, exactly-once across crashes, LF
+## session guarantees) on a short run of every workload; perfbench is a
+## module of its own, so the root `go test ./...` never reaches it
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 ## bench: snapshot the PR2 hot-path + PR5 sharded-transport benchmarks,
 ## the full-profile SLO workload percentiles (~10^6-client population over

@@ -12,6 +12,7 @@ import (
 	"repro/internal/orb"
 	"repro/internal/replication"
 	"repro/internal/service"
+	"repro/internal/totem"
 )
 
 // forwarderType is the repository id of the nested-call relay used by E5.
@@ -28,7 +29,7 @@ func E5DuplicateSuppression(scale Scale) (*Table, error) {
 	t := &Table{
 		ID:      "E5",
 		Title:   "Duplicate suppression in nested invocations (active caller -> active 2-replica target)",
-		Columns: []string{"caller replicas", "logical ops", "target executions", "dup invocations", "suppressed replies", "mean(us)"},
+		Columns: []string{"caller replicas", "logical ops", "target executions", "dup invocations", "suppressed replies", "ring-suppressed", "mean(us)"},
 	}
 	for _, callers := range []int{1, 2, 3} {
 		d, err := buildDomain(5, 0)
@@ -93,6 +94,7 @@ func E5DuplicateSuppression(scale Scale) (*Table, error) {
 			fmt.Sprint(delta.executions),
 			fmt.Sprint(delta.dupInvocations),
 			fmt.Sprint(delta.suppressedReplies),
+			fmt.Sprint(delta.ringSuppressed),
 			usStr(s.mean),
 		})
 		d.Stop()
@@ -100,6 +102,7 @@ func E5DuplicateSuppression(scale Scale) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"target executions include both target replicas (2 per logical op is correct)",
 		"executions also include the caller group's own dispatches (callers per logical op)",
+		"suppressed replies: executor early-out (never encoded); ring-suppressed: keyed reply copies withdrawn from the totem send queue",
 	)
 	return t, nil
 }
@@ -108,6 +111,7 @@ type statSum struct {
 	executions        uint64
 	dupInvocations    uint64
 	suppressedReplies uint64
+	ringSuppressed    uint64
 }
 
 func (a statSum) sub(b statSum) statSum {
@@ -115,6 +119,7 @@ func (a statSum) sub(b statSum) statSum {
 		executions:        a.executions - b.executions,
 		dupInvocations:    a.dupInvocations - b.dupInvocations,
 		suppressedReplies: a.suppressedReplies - b.suppressedReplies,
+		ringSuppressed:    a.ringSuppressed - b.ringSuppressed,
 	}
 }
 
@@ -129,6 +134,7 @@ func sumStats(d *core.Domain) statSum {
 		out.executions += s.Executions
 		out.dupInvocations += s.DupInvocations
 		out.suppressedReplies += s.SuppressedReplies
+		out.ringSuppressed += totem.AggregateStats(n.Rings).Suppressed
 	}
 	return out
 }

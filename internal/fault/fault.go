@@ -537,4 +537,3 @@ func (d *Detector) pushCheck(id string, st *targetState) {
 		d.notifier.Push(st.target.Report)
 	}
 }
-

@@ -436,4 +436,3 @@ func (s *Suspicion) recentFlaps(now time.Time) int {
 	}
 	return n
 }
-

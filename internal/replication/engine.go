@@ -125,7 +125,7 @@ func (e *Engine) now() time.Time { return e.cfg.Clock() }
 type Stats struct {
 	Executions        uint64 // servant dispatches performed
 	DupInvocations    uint64 // duplicate invocations suppressed (receiver side)
-	SuppressedReplies uint64 // replies suppressed (sender side)
+	SuppressedReplies uint64 // executor early-out only: reply never encoded (queued copies withdrawn later: totem.Stats.Suppressed)
 	DupReplies        uint64 // duplicate replies discarded (receiver side)
 	Replays           uint64 // operations re-executed during failover
 	Fulfillments      uint64 // fulfillment operations re-invoked after remerge
@@ -341,15 +341,13 @@ func (e *Engine) syncRetryLoop() {
 			reps[gid] = r
 		}
 		e.mu.Unlock()
-		stuck := make(map[uint64]uint64)
 		for gid, r := range reps {
-			if st := r.status(); st.Syncing {
-				stuck[gid] = st.LastExec
+			st := r.status()
+			if !st.Syncing {
+				continue
 			}
-		}
-		for gid, lastExec := range stuck {
-			if payload := e.encodeOrReport(&msgStateReq{GroupID: gid, From: e.cfg.Node, LastExec: lastExec}); payload != nil {
-				_ = e.ringFor(gid).Multicast(invGroupName(gid), payload)
+			if payload := e.encodeOrReport(&msgStateReq{GroupID: gid, From: e.cfg.Node, LastExec: st.LastExec}); payload != nil {
+				_ = e.ringFor(gid).Multicast(r.invGroup, payload)
 			}
 		}
 	}
@@ -526,10 +524,10 @@ func (e *Engine) startHosting(def GroupDef, r *replica) error {
 		})
 	}
 	ring := e.ringFor(def.ID)
-	if err := ring.JoinGroup(invGroupName(def.ID)); err != nil {
+	if err := ring.JoinGroup(r.invGroup); err != nil {
 		return fmt.Errorf("replication: join group: %w", err)
 	}
-	if err := ring.JoinGroup(repGroupName(def.ID)); err != nil {
+	if err := ring.JoinGroup(r.repGroup); err != nil {
 		return fmt.Errorf("replication: join reply group: %w", err)
 	}
 	e.mu.Lock()
@@ -556,7 +554,7 @@ func (e *Engine) RemoveReplica(gid uint64) {
 		return
 	}
 	r.q.close()
-	_ = e.ringFor(gid).LeaveGroup(invGroupName(gid))
+	_ = e.ringFor(gid).LeaveGroup(r.invGroup)
 	// Stay in the reply group: this node may still act as a client.
 }
 
@@ -689,8 +687,8 @@ func (e *Engine) onDeliver(d totem.Deliver) {
 func (e *Engine) onGroupView(gv totem.GroupView) {
 	e.mu.RLock()
 	var target *replica
-	for gid, r := range e.hosted {
-		if gv.Group == invGroupName(gid) {
+	for _, r := range e.hosted {
+		if gv.Group == r.invGroup {
 			target = r
 			break
 		}

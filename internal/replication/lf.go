@@ -100,7 +100,7 @@ func (r *replica) lfLeaseLiveLocked(now time.Time) bool {
 // lfSendReply sends a direct-lane reply back to the submitting node.
 func (r *replica) lfSendReply(to string, m *msgLfReply) {
 	if payload := r.eng.encodeOrReport(m); payload != nil {
-		_ = r.eng.ringFor(r.def.ID).SendDirect(to, repGroupName(r.def.ID), payload)
+		_ = r.eng.ringFor(r.def.ID).SendDirect(to, r.repGroup, payload)
 	}
 }
 
@@ -277,7 +277,7 @@ func (r *replica) lfAssign(key opKey, op string, args []byte, oneway bool, rec *
 	wrec := wal.Record{Kind: wal.KindUpdate, MsgID: id, Op: opRecInvoke + op, Data: data}
 	r.logUpdate(wrec)
 	r.shipUpdate(wrec)
-	_ = r.eng.ringFor(r.def.ID).Multicast(invGroupName(r.def.ID), data)
+	_ = r.eng.ringFor(r.def.ID).Multicast(r.invGroup, data)
 
 	rep := r.lfExecute(order, rec)
 	r.maybeCheckpoint()
@@ -428,7 +428,7 @@ func (r *replica) lfMaybeGrant() {
 		Leader:  r.eng.cfg.Node,
 		Dur:     r.eng.cfg.LeaseDuration,
 	}); payload != nil {
-		_ = r.eng.ringFor(r.def.ID).Multicast(invGroupName(r.def.ID), payload)
+		_ = r.eng.ringFor(r.def.ID).Multicast(r.invGroup, payload)
 	}
 }
 
@@ -464,7 +464,7 @@ func (r *replica) lfClassicRun(t taskInvoke, rec *opRecord) {
 	}
 	rep, _ := r.lfAssign(t.m.Key, t.m.Operation, t.m.Args, t.m.Oneway, rec)
 	if rep != nil {
-		r.multicastReply(rep)
+		r.multicastReply(rep, 0)
 	}
 }
 

@@ -129,6 +129,7 @@ func WithRetryInterval(d time.Duration) ProxyOption {
 type Proxy struct {
 	eng      *Engine
 	gid      uint64
+	invGroup string // invGroupName(gid), computed once
 	votes    int
 	shard    int // 1-based explicit shard pin; 0 = engine routing
 	timeout  time.Duration
@@ -149,6 +150,7 @@ func (e *Engine) Proxy(ref GroupRef, opts ...ProxyOption) *Proxy {
 	p := &Proxy{
 		eng:       e,
 		gid:       ref.ID,
+		invGroup:  invGroupName(ref.ID),
 		votes:     1,
 		timeout:   e.cfg.CallTimeout,
 		retry:     e.cfg.RetryInterval,
@@ -234,7 +236,7 @@ func (p *Proxy) lfBump(seq uint64) {
 // back to the ordered path with the same operation key.
 func (p *Proxy) lfCall(key opKey, op string, args []cdr.Value) ([]cdr.Value, error, bool) {
 	ring := p.eng.ringFor(p.gid)
-	members := ring.GroupMembers(invGroupName(p.gid))
+	members := ring.GroupMembers(p.invGroup)
 	if len(members) == 0 {
 		return nil, nil, false
 	}
@@ -262,7 +264,7 @@ func (p *Proxy) lfCall(key opKey, op string, args []cdr.Value) ([]cdr.Value, err
 		if rerr != nil {
 			return nil, rerr, true
 		}
-		if serr := ring.SendDirect(target, invGroupName(p.gid), payload); serr != nil {
+		if serr := ring.SendDirect(target, p.invGroup, payload); serr != nil {
 			p.eng.unregisterCall(key)
 			return nil, nil, false
 		}
@@ -312,7 +314,7 @@ func (p *Proxy) call(op string, args []cdr.Value, oneway bool) ([]cdr.Value, err
 	}
 
 	if oneway {
-		return nil, p.eng.ringFor(p.gid).Multicast(invGroupName(p.gid), payload)
+		return nil, p.eng.ringFor(p.gid).Multicast(p.invGroup, payload)
 	}
 
 	if p.lf && p.votes == 1 {
@@ -334,7 +336,7 @@ func (p *Proxy) call(op string, args []cdr.Value, oneway bool) ([]cdr.Value, err
 	}
 	defer p.eng.unregisterCall(key)
 
-	if err := p.eng.ringFor(p.gid).Multicast(invGroupName(p.gid), payload); err != nil {
+	if err := p.eng.ringFor(p.gid).Multicast(p.invGroup, payload); err != nil {
 		return nil, err
 	}
 
@@ -363,7 +365,7 @@ func (p *Proxy) call(op string, args []cdr.Value, oneway bool) ([]cdr.Value, err
 			// by MaxRetryInterval) so a partitioned or failing-over group is
 			// not hammered at a fixed rate by every blocked client.
 			p.eng.stat.retries.Add(1)
-			if err := p.eng.ringFor(p.gid).Multicast(invGroupName(p.gid), payload); err != nil {
+			if err := p.eng.ringFor(p.gid).Multicast(p.invGroup, payload); err != nil {
 				return nil, err
 			}
 			attempt++

@@ -65,11 +65,13 @@ type fulfillRec struct {
 // are shared between the engine loop and the executor; the remaining
 // protocol state is owned by the executor goroutine.
 type replica struct {
-	eng     *Engine
-	def     GroupDef
-	servant orb.Servant
-	q       *taskQueue
-	log     wal.Log
+	eng      *Engine
+	def      GroupDef
+	servant  orb.Servant
+	q        *taskQueue
+	log      wal.Log
+	invGroup string // invGroupName(def.ID), computed once
+	repGroup string // repGroupName(def.ID), computed once
 
 	mu        chanMutex
 	dedup     map[opKey]*opRecord
@@ -102,8 +104,8 @@ type replica struct {
 	fulfillSeq   uint64
 	everHadView  bool
 	stuck        map[string]uint64 // members awaiting state transfer → their advertised lastExec
-	lastSnapResp time.Time       // rate limit for state-request answers
-	healNudges   int             // post-heal catch-up nudges sent (diagnostics)
+	lastSnapResp time.Time         // rate limit for state-request answers
+	healNudges   int               // post-heal catch-up nudges sent (diagnostics)
 
 	// Leader-follower executor-owned state.
 	lfSeq     uint64                    // leader's assignment counter
@@ -135,6 +137,8 @@ func newReplica(e *Engine, def GroupDef, servant orb.Servant, syncing bool, log 
 		servant:   servant,
 		q:         newTaskQueue(),
 		log:       log,
+		invGroup:  invGroupName(def.ID),
+		repGroup:  repGroupName(def.ID),
 		mu:        newChanMutex(),
 		dedup:     make(map[opKey]*opRecord),
 		syncing:   syncing,
@@ -333,7 +337,11 @@ func (r *replica) process(t taskInvoke, replay bool) {
 			logged := rec.reply
 			r.mu.unlock()
 			if logged != nil {
-				r.multicastReply(logged)
+				// Unkeyed on purpose: this answers a retransmission, and
+				// after a partition heal this node's ring may already hold
+				// the reply's key from a delivery the retrying client
+				// never saw, so a keyed answer would be withdrawn.
+				r.multicastReply(logged, 0)
 			}
 		}
 		return
@@ -467,7 +475,15 @@ func (r *replica) run(t taskInvoke, rec *opRecord) {
 	r.mu.unlock()
 
 	if send {
-		r.multicastReply(rep)
+		// Only ACTIVE and STATELESS replies are keyed: every replica
+		// sends an interchangeable copy, so totem may withdraw the ones
+		// still queued once the first is ordered. Voting needs every
+		// copy, and the passive styles have a single replier.
+		var key uint64
+		if r.def.Style == Active || r.def.Style == Stateless {
+			key = replyKey(r.def.ID, rep.Key)
+		}
+		r.multicastReply(rep, key)
 	} else {
 		// Another replica's response was delivered before we transmitted
 		// ours: sender-side suppression (the paper's Figure 2).
@@ -552,13 +568,15 @@ func (r *replica) sendCheckpoint(reason uint8) {
 		Covered:   covered,
 		LfSeq:     lfSeq,
 	}); payload != nil {
-		_ = r.eng.ringFor(r.def.ID).Multicast(invGroupName(r.def.ID), payload)
+		_ = r.eng.ringFor(r.def.ID).Multicast(r.invGroup, payload)
 	}
 }
 
-func (r *replica) multicastReply(rep *msgReply) {
+// multicastReply sends a reply on the group's reply stream; a nonzero key
+// lets totem withdraw it if another replica's copy is ordered first.
+func (r *replica) multicastReply(rep *msgReply, key uint64) {
 	if payload := r.eng.encodeOrReport(rep); payload != nil {
-		_ = r.eng.ringFor(r.def.ID).Multicast(repGroupName(r.def.ID), payload)
+		_ = r.eng.ringFor(r.def.ID).MulticastKeyed(r.repGroup, key, payload)
 	}
 }
 
@@ -828,7 +846,7 @@ func (r *replica) sendFulfillments() {
 			Oneway:      true,
 			Fulfillment: true,
 		}); payload != nil {
-			_ = r.eng.ringFor(r.def.ID).Multicast(invGroupName(r.def.ID), payload)
+			_ = r.eng.ringFor(r.def.ID).Multicast(r.invGroup, payload)
 		}
 	}
 }
@@ -939,7 +957,7 @@ func (r *replica) onView(t taskView) {
 			myExec := r.lastExec
 			r.mu.unlock()
 			if payload := r.eng.encodeOrReport(&msgStateReq{GroupID: r.def.ID, From: r.eng.cfg.Node, LastExec: myExec}); payload != nil {
-				_ = r.eng.ringFor(r.def.ID).Multicast(invGroupName(r.def.ID), payload)
+				_ = r.eng.ringFor(r.def.ID).Multicast(r.invGroup, payload)
 			}
 			return
 		}

@@ -153,6 +153,38 @@ func invGroupName(gid uint64) string { return fmt.Sprintf("og/%d", gid) }
 // for warm passive, the piggybacked state updates).
 func repGroupName(gid uint64) string { return fmt.Sprintf("og/%d/r", gid) }
 
+// replyKey is the totem suppression key of an active reply: FNV-1a-64 over
+// the group id and the operation key. It must be identical on every
+// replica — including replicas in other OS processes — so it hashes fixed
+// bytes with no per-process seed. 0 means "unkeyed" to totem, so a zero
+// hash is mapped to 1.
+func replyKey(gid uint64, k opKey) uint64 {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	h := uint64(offset)
+	word := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h ^= v & 0xff
+			h *= prime
+			v >>= 8
+		}
+	}
+	word(gid)
+	word(uint64(len(k.ClientID)))
+	for i := 0; i < len(k.ClientID); i++ {
+		h ^= uint64(k.ClientID[i])
+		h *= prime
+	}
+	word(k.ParentSeq)
+	word(k.OpSeq)
+	if h == 0 {
+		h = 1
+	}
+	return h
+}
+
 // opKey identifies a logical operation for duplicate detection: identical
 // for duplicate invocations from different replicas of the same client and
 // for retransmissions, unique across logical operations.

@@ -18,6 +18,7 @@ import (
 	"repro/internal/ftcorba"
 	"repro/internal/orb"
 	"repro/internal/replication"
+	"repro/internal/totem"
 )
 
 // kvType is the repository id of the built-in replicated key/value store
@@ -464,5 +465,8 @@ func (s *Shell) cmdStats(args []string) error {
 		st.Executions, st.DupInvocations, st.SuppressedReplies, st.DupReplies)
 	fmt.Fprintf(s.out, "  replays=%d fulfillments=%d checkpoints=%d stateTransfers=%d retries=%d\n",
 		st.Replays, st.Fulfillments, st.Checkpoints, st.StateTransfers, st.Retries)
+	ts := totem.AggregateStats(node.Rings)
+	fmt.Fprintf(s.out, "  totem: delivered=%d sent=%d suppressed=%d retransmits=%d batches=%d formations=%d\n",
+		ts.Delivered, ts.Sent, ts.Suppressed, ts.Retransmit, ts.Batches, ts.Formations)
 	return nil
 }

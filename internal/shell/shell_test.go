@@ -47,7 +47,7 @@ func TestStatusAndGroups(t *testing.T) {
 	run(t, sh, "nodes")
 	run(t, sh, "stats n1")
 	s := out.String()
-	for _, want := range []string{"WARM_PASSIVE", "primary", "backup", "executions="} {
+	for _, want := range []string{"WARM_PASSIVE", "primary", "backup", "executions=", "suppressed="} {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q:\n%s", want, s)
 		}

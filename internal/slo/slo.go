@@ -161,10 +161,10 @@ type Result struct {
 	Issued, Acked, Errors int64
 	// Mutations is how many arrivals carried a mutating operation (the
 	// read-share workloads assert their mix against it).
-	Mutations int64
-	Wall                  time.Duration // run start → last completion
-	OfferedRate           float64       // arrivals / schedule horizon
-	Goodput               float64       // acked / wall
+	Mutations   int64
+	Wall        time.Duration // run start → last completion
+	OfferedRate float64       // arrivals / schedule horizon
+	Goodput     float64       // acked / wall
 
 	All *Hist // every completion, from intended start (the open-loop view)
 	// Service measures the same completions from the instant a worker

@@ -18,6 +18,7 @@ func TestDataBatchRoundTrip(t *testing.T) {
 		Sender:   "n2",
 		FirstSeq: 41,
 		Groups:   []string{"g", "og/7", "", "g", "big"},
+		Keys:     []uint64{7, 0, 0xdeadbeefcafef00d, 1, 0},
 		Payloads: [][]byte{
 			[]byte("alpha"),
 			[]byte{0, 1, 2, 3, 255},
@@ -41,7 +42,13 @@ func TestDataBatchRoundTrip(t *testing.T) {
 		t.Fatalf("count mismatch: %d/%d groups, %d/%d payloads",
 			len(out.Groups), len(in.Groups), len(out.Payloads), len(in.Payloads))
 	}
+	if len(out.Keys) != len(in.Keys) {
+		t.Fatalf("count mismatch: %d/%d keys", len(out.Keys), len(in.Keys))
+	}
 	for i := range in.Groups {
+		if out.Keys[i] != in.Keys[i] {
+			t.Errorf("key %d: %#x vs %#x", i, out.Keys[i], in.Keys[i])
+		}
 		if out.Groups[i] != in.Groups[i] {
 			t.Errorf("group %d: %q vs %q", i, out.Groups[i], in.Groups[i])
 		}

@@ -58,10 +58,14 @@ type propose struct {
 }
 
 // storedMsg is an ordered message retained for retransmission/recovery.
+// Key is the sender's suppression key (0 = none; see Ring.MulticastKeyed).
+// EVS recovery sets do not carry it: a recovered message only needs to be
+// delivered, and an unkeyed delivery merely suppresses nothing.
 type storedMsg struct {
 	Seq     uint64
 	Group   string
 	Sender  string
+	Key     uint64
 	Payload []byte
 }
 
@@ -144,6 +148,7 @@ type data struct {
 	Seq     uint64
 	Group   string
 	Sender  string
+	Key     uint64 // suppression key, 0 = none
 	Payload []byte
 	Resend  bool
 }
@@ -160,6 +165,7 @@ type dataBatch struct {
 	Sender   string
 	FirstSeq uint64
 	Groups   []string // per sub-message, parallel to Payloads
+	Keys     []uint64 // per sub-message suppression keys; nil when none is keyed
 	Payloads [][]byte
 }
 
@@ -341,6 +347,7 @@ func encodePacket(p any) ([]byte, error) {
 		e.WriteULongLong(v.Seq)
 		e.WriteString(v.Group)
 		e.WriteString(v.Sender)
+		e.WriteULongLong(v.Key)
 		e.WriteBool(v.Resend)
 		e.WriteOctetSeq(v.Payload)
 	case *dataBatch:
@@ -349,6 +356,18 @@ func encodePacket(p any) ([]byte, error) {
 		e.WriteString(v.Sender)
 		e.WriteULongLong(v.FirstSeq)
 		e.WriteULong(uint32(len(v.Payloads)))
+		// The key block is present only when some sub-message is keyed,
+		// so an unkeyed frame costs one octet and decodes without a keys
+		// slice.
+		keyed := v.Keys != nil
+		if keyed && len(v.Keys) != len(v.Payloads) {
+			e.Release()
+			return nil, fmt.Errorf("totem: encodePacket: %d keys for %d messages", len(v.Keys), len(v.Payloads))
+		}
+		e.WriteBool(keyed)
+		for _, k := range v.Keys {
+			e.WriteULongLong(k)
+		}
 		for i, p := range v.Payloads {
 			e.WriteString(v.Groups[i])
 			e.WriteOctetSeq(p)
@@ -389,9 +408,9 @@ func firstOctet(b []byte) byte {
 func packetSizeHint(p any) int {
 	switch v := p.(type) {
 	case *data:
-		return 64 + len(v.Group) + len(v.Sender) + len(v.Payload)
+		return 80 + len(v.Group) + len(v.Sender) + len(v.Payload)
 	case *dataBatch:
-		n := 64 + len(v.Sender)
+		n := 72 + len(v.Sender) + 8*len(v.Keys)
 		for i, pl := range v.Payloads {
 			n += 16 + len(v.Groups[i]) + len(pl)
 		}
@@ -567,6 +586,9 @@ func decodePacketIn(b []byte, owned bool) (any, error) {
 		if v.Sender, err = d.ReadStringInterned(); err != nil {
 			return nil, err
 		}
+		if v.Key, err = d.ReadULongLong(); err != nil {
+			return nil, err
+		}
 		if v.Resend, err = d.ReadBool(); err != nil {
 			return nil, err
 		}
@@ -591,6 +613,21 @@ func decodePacketIn(b []byte, owned bool) (any, error) {
 		}
 		if n > 1<<20 {
 			return nil, fmt.Errorf("totem: implausible batch count %d", n)
+		}
+		keyed, err := d.ReadBool()
+		if err != nil {
+			return nil, err
+		}
+		if keyed {
+			if uint64(n)*8 > uint64(d.Remaining()) {
+				return nil, fmt.Errorf("totem: %d batch keys overrun the frame", n)
+			}
+			v.Keys = make([]uint64, n)
+			for i := range v.Keys {
+				if v.Keys[i], err = d.ReadULongLong(); err != nil {
+					return nil, err
+				}
+			}
 		}
 		v.Groups = make([]string, 0, n)
 		v.Payloads = make([][]byte, 0, n)

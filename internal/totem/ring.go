@@ -208,6 +208,7 @@ const (
 
 type outMsg struct {
 	group   string
+	key     uint64 // suppression key, 0 = none (see MulticastKeyed)
 	payload []byte
 }
 
@@ -275,6 +276,7 @@ type Ring struct {
 	nudged       bool          // a member announced fresh work: skip the next idle hold
 	quietRounds  int           // workless token visits observed here (any member)
 	lastSeqSeen  uint64        // token Seq at the previous visit (progress detection)
+	seenKeys     *keySet       // suppression keys delivered from other senders (nil until the first)
 
 	packetCh   chan any
 	ctlCh      chan any     // priority lane: liveness/membership/token packets
@@ -297,6 +299,7 @@ type Ring struct {
 	statRetrans   uint64
 	statForms     uint64
 	statBatches   uint64
+	statSuppress  uint64
 }
 
 // Stats is a snapshot of protocol counters.
@@ -306,6 +309,7 @@ type Stats struct {
 	Retransmit uint64 // retransmissions this node served
 	Formations uint64 // ring formations participated in
 	Batches    uint64 // coalesced multi-message frames this node emitted
+	Suppressed uint64 // queued keyed messages withdrawn unsent (MulticastKeyed)
 }
 
 // NewRing creates (but does not start) a ring endpoint on the transport
@@ -388,6 +392,17 @@ func (r *Ring) Events() <-chan Event { return r.evCh }
 // token drains the queue (or the ring stops): overload applies backpressure
 // to producers instead of growing memory without bound.
 func (r *Ring) Multicast(group string, payload []byte) error {
+	return r.MulticastKeyed(group, 0, payload)
+}
+
+// MulticastKeyed is Multicast with a suppression key: a nonzero key marks
+// the message as one of several interchangeable copies that different
+// members may send (the replies of actively replicated servers). If,
+// before the token next lets this node send, a message with the same key
+// from another member is delivered here, the queued copy is withdrawn: it
+// gets no sequence number and is counted in Stats.Suppressed. A copy from
+// this node never suppresses another of its own. Key 0 is plain Multicast.
+func (r *Ring) MulticastKeyed(group string, key uint64, payload []byte) error {
 	r.mu.Lock()
 	for !r.stopped && len(r.sendQ) >= r.cfg.MaxSendQueue {
 		r.sendCond.Wait()
@@ -397,7 +412,7 @@ func (r *Ring) Multicast(group string, payload []byte) error {
 		return ErrStopped
 	}
 	wasEmpty := len(r.sendQ) == 0
-	r.sendQ = append(r.sendQ, outMsg{group: group, payload: payload})
+	r.sendQ = append(r.sendQ, outMsg{group: group, key: key, payload: payload})
 	r.mu.Unlock()
 	if wasEmpty {
 		// Nudge the protocol loop: a held idle token should be released
@@ -507,6 +522,7 @@ func (r *Ring) Stats() Stats {
 		Retransmit: r.statRetrans,
 		Formations: r.statForms,
 		Batches:    r.statBatches,
+		Suppressed: r.statSuppress,
 	}
 }
 
@@ -1321,7 +1337,7 @@ func (r *Ring) handleToken(t *token) {
 		remaining := t.Rtr[:0]
 		for _, seq := range t.Rtr {
 			if m, ok := r.store[seq]; ok {
-				r.broadcastMembers(&data{Ring: r.ring, Seq: m.Seq, Group: m.Group, Sender: m.Sender, Payload: m.Payload, Resend: true}, false)
+				r.broadcastMembers(&data{Ring: r.ring, Seq: m.Seq, Group: m.Group, Sender: m.Sender, Key: m.Key, Payload: m.Payload, Resend: true}, false)
 				r.statMu.Lock()
 				r.statRetrans++
 				r.statMu.Unlock()
@@ -1343,27 +1359,42 @@ func (r *Ring) handleToken(t *token) {
 	}
 
 	// Multicast queued messages, bounded per visit by both count and
-	// bytes (token-driven flow control).
+	// bytes (token-driven flow control). Keyed copies whose key another
+	// member's delivered message already carries are withdrawn as the batch
+	// is cut: the kept messages are compacted to the front of the scanned
+	// prefix, so the batch is q[:take] and the rest of the queue q[scanned:].
 	r.mu.Lock()
-	take, bytes := 0, 0
-	for take < len(r.sendQ) && take < r.cfg.MaxBatch {
-		bytes += len(r.sendQ[take].payload)
+	q := r.sendQ
+	take, scanned, bytes := 0, 0, 0
+	for scanned < len(q) && take < r.cfg.MaxBatch {
+		om := q[scanned]
+		scanned++
+		if om.key != 0 && r.seenKeys != nil && r.seenKeys.has(om.key) {
+			continue
+		}
+		q[take] = om
 		take++
+		bytes += len(om.payload)
 		if bytes >= r.cfg.MaxBatchBytes {
 			break
 		}
 	}
-	batch := r.sendQ[:take]
-	if take == len(r.sendQ) {
+	batch := q[:take]
+	if scanned == len(q) {
 		r.sendQ = nil
 	} else {
-		r.sendQ = append([]outMsg(nil), r.sendQ[take:]...)
+		r.sendQ = append([]outMsg(nil), q[scanned:]...)
 	}
 	leftover := len(r.sendQ)
-	if take > 0 {
+	if scanned > 0 {
 		r.sendCond.Broadcast() // queue shrank: release backpressured senders
 	}
 	r.mu.Unlock()
+	if withdrawn := scanned - take; withdrawn > 0 {
+		r.statMu.Lock()
+		r.statSuppress += uint64(withdrawn)
+		r.statMu.Unlock()
+	}
 	if len(batch) > 0 {
 		r.sendBatch(t, batch)
 	}
@@ -1501,10 +1532,10 @@ func (r *Ring) sendBatch(t *token, batch []outMsg) {
 	if r.cfg.NoCoalesce || len(r.members) == 1 {
 		for _, om := range batch {
 			t.Seq++
-			m := storedMsg{Seq: t.Seq, Group: om.group, Sender: r.cfg.Node, Payload: om.payload}
+			m := storedMsg{Seq: t.Seq, Group: om.group, Sender: r.cfg.Node, Key: om.key, Payload: om.payload}
 			r.store[m.Seq] = m
 			if len(r.members) > 1 {
-				r.broadcastMembers(&data{Ring: r.ring, Seq: m.Seq, Group: m.Group, Sender: m.Sender, Payload: m.Payload}, false)
+				r.broadcastMembers(&data{Ring: r.ring, Seq: m.Seq, Group: m.Group, Sender: m.Sender, Key: m.Key, Payload: m.Payload}, false)
 			}
 			r.advanceDelivery()
 		}
@@ -1515,6 +1546,7 @@ func (r *Ring) sendBatch(t *token, batch []outMsg) {
 		firstSeq := t.Seq + 1
 		groups := make([]string, 0, len(batch)-i)
 		payloads := make([][]byte, 0, len(batch)-i)
+		var keys []uint64 // allocated only once a keyed message joins the frame
 		frameBytes := 0
 		for i < len(batch) {
 			sz := len(batch[i].payload)
@@ -1522,8 +1554,14 @@ func (r *Ring) sendBatch(t *token, batch []outMsg) {
 				break // frame full; an oversized single still goes alone
 			}
 			t.Seq++
-			m := storedMsg{Seq: t.Seq, Group: batch[i].group, Sender: r.cfg.Node, Payload: batch[i].payload}
+			m := storedMsg{Seq: t.Seq, Group: batch[i].group, Sender: r.cfg.Node, Key: batch[i].key, Payload: batch[i].payload}
 			r.store[m.Seq] = m
+			if m.Key != 0 && keys == nil {
+				keys = make([]uint64, len(payloads), cap(payloads))
+			}
+			if keys != nil {
+				keys = append(keys, m.Key)
+			}
 			groups = append(groups, m.Group)
 			payloads = append(payloads, m.Payload)
 			frameBytes += sz
@@ -1534,6 +1572,7 @@ func (r *Ring) sendBatch(t *token, batch []outMsg) {
 			Sender:   r.cfg.Node,
 			FirstSeq: firstSeq,
 			Groups:   groups,
+			Keys:     keys,
 			Payloads: payloads,
 		}, false)
 		if len(payloads) > 1 {
@@ -1613,7 +1652,11 @@ func (r *Ring) handleDataBatch(b *dataBatch) {
 		if _, ok := r.store[seq]; ok {
 			continue
 		}
-		r.store[seq] = storedMsg{Seq: seq, Group: b.Groups[i], Sender: b.Sender, Payload: p}
+		m := storedMsg{Seq: seq, Group: b.Groups[i], Sender: b.Sender, Payload: p}
+		if b.Keys != nil {
+			m.Key = b.Keys[i]
+		}
+		r.store[seq] = m
 	}
 	// Same membership-freeze rule as handleData: see the comment there.
 	if r.state == stOperational {
@@ -1631,7 +1674,7 @@ func (r *Ring) handleData(d *data) {
 	if _, ok := r.store[d.Seq]; ok {
 		return
 	}
-	r.store[d.Seq] = storedMsg{Seq: d.Seq, Group: d.Group, Sender: d.Sender, Payload: d.Payload}
+	r.store[d.Seq] = storedMsg{Seq: d.Seq, Group: d.Group, Sender: d.Sender, Key: d.Key, Payload: d.Payload}
 	// Delivery freezes while a membership change is in progress: the
 	// accept this node sent snapshotted its delivery point, and advancing
 	// past it would diverge from the recovery set the coordinator builds
@@ -1670,6 +1713,15 @@ func (r *Ring) deliverMsg(rid RingID, m storedMsg) {
 		return
 	}
 	r.lastSeq[rid] = m.Seq
+	if m.Key != 0 && m.Sender != r.cfg.Node {
+		// Another member's copy is now ordered: withdraw ours if it is
+		// still queued (handleToken). The set is allocated on first use,
+		// so rings that never carry keyed traffic pay nothing for it.
+		if r.seenKeys == nil {
+			r.seenKeys = newKeySet()
+		}
+		r.seenKeys.add(m.Key)
+	}
 	r.statMu.Lock()
 	r.statDelivered++
 	r.statMu.Unlock()

@@ -171,10 +171,13 @@ func TestRingFormation(t *testing.T) {
 	c := newCluster(t, netsim.Config{Latency: 100 * time.Microsecond}, 3)
 	c.startAll()
 	c.waitStableRing(3*time.Second, c.nodes)
+	// The ring installs before its ViewChange reaches the collector
+	// goroutine, so wait for the event rather than read it at once.
 	for _, n := range c.nodes {
-		if v, ok := c.collect[n].lastView(); !ok || len(v.Members) != 3 {
-			t.Errorf("%s: view = %+v, ok=%v", n, v, ok)
-		}
+		waitFor(t, time.Second, n+" view event", func() bool {
+			v, ok := c.collect[n].lastView()
+			return ok && len(v.Members) == 3
+		})
 	}
 }
 
@@ -501,7 +504,9 @@ func TestPacketRoundTrips(t *testing.T) {
 			Subs: []groupSub{{Node: "a", Group: "g"}},
 		},
 		&token{Ring: RingID{Epoch: 4, Coord: "b"}, Round: 7, Seq: 100, Aru: 90, LastAru: 80, Rtr: []uint64{91, 95}},
-		&data{Ring: RingID{Epoch: 4, Coord: "b"}, Seq: 101, Group: "g", Sender: "a", Payload: []byte("p"), Resend: true},
+		&data{Ring: RingID{Epoch: 4, Coord: "b"}, Seq: 101, Group: "g", Sender: "a", Key: 0x9e3779b97f4a7c15, Payload: []byte("p"), Resend: true},
+		&dataBatch{Ring: RingID{Epoch: 4, Coord: "b"}, Sender: "a", FirstSeq: 102, Groups: []string{"g", "h"},
+			Keys: []uint64{0, 42}, Payloads: [][]byte{[]byte("x"), []byte("yz")}},
 	}
 	for _, p := range pkts {
 		got, err := decodePacket(mustEncodePacket(t, p))
@@ -511,6 +516,9 @@ func TestPacketRoundTrips(t *testing.T) {
 		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", p) {
 			t.Errorf("%T round trip: %+v vs %+v", p, got, p)
 		}
+	}
+	if _, err := encodePacket(&dataBatch{Groups: []string{"g"}, Keys: []uint64{1, 2}, Payloads: [][]byte{nil}}); err == nil {
+		t.Error("a batch with more keys than messages must not encode")
 	}
 	if _, err := decodePacket([]byte{99}); err == nil {
 		t.Error("unknown packet type must error")

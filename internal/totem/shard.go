@@ -75,6 +75,7 @@ func AggregateStats(rings []*Ring) Stats {
 		total.Retransmit += s.Retransmit
 		total.Formations += s.Formations
 		total.Batches += s.Batches
+		total.Suppressed += s.Suppressed
 	}
 	return total
 }
